@@ -31,19 +31,18 @@
 //! After `R` epochs every node outputs the bit it last acked (its final
 //! `b*`).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use ba_crypto::hmac::HmacDrbg;
-use ba_fmine::{Eligibility, Keychain, MineTag, MsgKind, NeverMine};
+use ba_fmine::{Eligibility, Keychain, MineTag, MsgKind};
 use ba_sim::{
-    evaluate, run_sparse, ActivationOracle, Adversary, Bit, BoxedProtocol, Incoming, Message,
-    NodeId, Outbox, PopulationMode, Problem, Protocol, Round, RunReport, SimConfig, SparseSpec,
-    TransportSpec, Verdict,
+    evaluate, ActivationOracle, Adversary, Bit, BoxedProtocol, Incoming, Message, NodeId, Outbox,
+    Problem, Protocol, Round, RunReport, SimConfig, Verdict,
 };
 
 use crate::auth::{Auth, Evidence, FsService};
 use crate::runnable::Runnable;
+use crate::sparse::{self, Committees, SparseFamily};
 
 /// Messages of the epoch family.
 #[derive(Clone, Debug, PartialEq)]
@@ -375,28 +374,12 @@ impl Protocol<EpochMsg> for EpochNode {
 }
 
 /// Predicts each round's possible speakers for the sparse population
-/// engine. The epoch schedule is rigid — proposals on even rounds, acks on
+/// policy. The epoch schedule is rigid — proposals on even rounds, acks on
 /// odd rounds, nothing in the final tally round — so each round probes
-/// exactly the two bit-committees of that round's tag kind via the
-/// eligibility backend's side-effect-free `would_mine` (sharedized when the
-/// regime uses a shared committee, mirroring `attest`). Committees are
-/// memoized per probed tag.
+/// exactly the two bit-committees of that round's tag kind.
 struct EpochOracle {
-    n: usize,
     epochs: u64,
-    bit_specific: bool,
-    elig: Arc<dyn Eligibility>,
-    memo: HashMap<MineTag, Vec<NodeId>>,
-}
-
-impl EpochOracle {
-    fn committee(&mut self, tag: MineTag) -> &[NodeId] {
-        let probe = if self.bit_specific { tag } else { tag.sharedized() };
-        let (n, elig) = (self.n, &self.elig);
-        self.memo
-            .entry(probe)
-            .or_insert_with(|| (0..n).map(NodeId).filter(|&i| elig.would_mine(i, &probe)).collect())
-    }
+    committees: Committees,
 }
 
 impl ActivationOracle for EpochOracle {
@@ -409,64 +392,45 @@ impl ActivationOracle for EpochOracle {
         let kind = if r.is_multiple_of(2) { MsgKind::Propose } else { MsgKind::Ack };
         let mut out = Vec::new();
         for bit in [false, true] {
-            out.extend_from_slice(self.committee(MineTag::new(kind, epoch, bit)));
+            out.extend_from_slice(self.committees.committee(MineTag::new(kind, epoch, bit)));
         }
         out
     }
 }
 
-/// Builds the sparse-engine spec for this configuration, or `None` when it
-/// cannot run sparsely (see [`EpochConfig::supports_sparse`]) so callers
-/// fall back to the dense engine.
-fn sparse_spec(cfg: &EpochConfig, inputs: &[Bit], sim: &SimConfig) -> Option<SparseSpec<EpochMsg>> {
-    if !cfg.supports_sparse() {
-        return None;
+impl SparseFamily for EpochConfig {
+    type Msg = EpochMsg;
+    const GHOST_SALT: u64 = 0x6057_1A5E_1D0C_0DE1;
+
+    fn n(&self) -> usize {
+        self.n
     }
-    let Auth::Mined { elig, bit_specific, keychain } = &cfg.auth else {
-        return None;
-    };
-    // Ghosts can never win a committee seat (NeverMine) but verify exactly
-    // like real nodes, and carry the out-of-range id `n` so any accidental
-    // send is detectable. Their seed only feeds the leader-coin DRBG, whose
-    // draws a never-eligible candidate never exposes.
-    let mut ghost_cfg = cfg.clone();
-    ghost_cfg.auth = Auth::Mined {
-        elig: Arc::new(NeverMine(Arc::clone(elig))),
-        bit_specific: *bit_specific,
-        keychain: keychain.clone(),
-    };
-    let n = cfg.n;
-    let ghost_seed = sim.seed ^ 0x6057_1A5E_1D0C_0DE1;
-    let ghost = |bit: Bit| -> BoxedProtocol<EpochMsg> {
-        Box::new(EpochNode::new(ghost_cfg.clone(), NodeId(n), bit, ghost_seed ^ bit as u64))
-    };
-    let oracle = EpochOracle {
-        n,
-        epochs: cfg.epochs,
-        bit_specific: *bit_specific,
-        elig: Arc::clone(elig),
-        memo: HashMap::new(),
-    };
-    let cfg_for_factory = cfg.clone();
-    let inputs_for_factory = inputs.to_vec();
-    Some(SparseSpec {
-        factory: Box::new(move |id, seed| {
-            Box::new(EpochNode::new(
-                cfg_for_factory.clone(),
-                id,
-                inputs_for_factory[id.index()],
-                seed,
-            ))
-        }),
-        ghosts: [ghost(false), ghost(true)],
-        oracle: Box::new(oracle),
-    })
+
+    fn auth(&self) -> &Auth {
+        &self.auth
+    }
+
+    fn with_auth(&self, auth: Auth) -> EpochConfig {
+        EpochConfig { auth, ..self.clone() }
+    }
+
+    fn supports_sparse(&self) -> bool {
+        EpochConfig::supports_sparse(self)
+    }
+
+    fn node(&self, id: NodeId, input: Bit, seed: u64) -> BoxedProtocol<EpochMsg> {
+        Box::new(EpochNode::new(self.clone(), id, input, seed))
+    }
+
+    fn oracle(&self, committees: Committees) -> Box<dyn ActivationOracle> {
+        Box::new(EpochOracle { epochs: self.epochs, committees })
+    }
 }
 
 /// Runs one execution of an epoch-family protocol and evaluates the verdict
-/// for the agreement problem. Honors [`SimConfig::population`]:
-/// sparse-capable configurations run under the sparse engine
-/// (byte-identical report); others silently use the dense engine.
+/// for the agreement problem. Honors [`SimConfig::population`] where the
+/// configuration supports the sparse policy (see
+/// [`EpochConfig::supports_sparse`]).
 pub fn run<A: Adversary<EpochMsg> + Send>(
     cfg: &EpochConfig,
     sim: &SimConfig,
@@ -475,30 +439,7 @@ pub fn run<A: Adversary<EpochMsg> + Send>(
 ) -> (RunReport, Verdict) {
     let mut sim_cfg = sim.clone();
     sim_cfg.max_rounds = sim_cfg.max_rounds.max(cfg.total_rounds() + 1);
-    let spec = match sim_cfg.population {
-        // The sparse engine composes only with the lockstep transport (the
-        // retained multicast history assumes synchronous delivery); other
-        // transports fall back to dense.
-        PopulationMode::Sparse if sim_cfg.transport == TransportSpec::Lockstep => {
-            sparse_spec(cfg, &inputs, &sim_cfg)
-        }
-        _ => None,
-    };
-    let report = match spec {
-        Some(spec) => run_sparse(&sim_cfg, inputs, adversary, spec),
-        None => {
-            let cfg_for_factory = cfg.clone();
-            let inputs_for_factory = inputs.clone();
-            ba_net::execute(&sim_cfg, inputs, adversary, move |id, seed| {
-                Box::new(EpochNode::new(
-                    cfg_for_factory.clone(),
-                    id,
-                    inputs_for_factory[id.index()],
-                    seed,
-                ))
-            })
-        }
-    };
+    let report = sparse::execute(cfg, &sim_cfg, inputs, adversary);
     let verdict = evaluate(Problem::Agreement, &report);
     (report, verdict)
 }
@@ -518,7 +459,7 @@ pub fn runnable<A: Adversary<EpochMsg> + Send + 'static>(
 mod tests {
     use super::*;
     use ba_fmine::{IdealMine, MineParams, SigMode};
-    use ba_sim::{CorruptionModel, Passive};
+    use ba_sim::{CorruptionModel, Passive, PopulationMode};
 
     fn warmup_cfg(n: usize, epochs: u64) -> EpochConfig {
         EpochConfig::warmup_third(n, epochs, Arc::new(Keychain::from_seed(1, n, SigMode::Ideal)))

@@ -35,11 +35,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ba_crypto::hmac::HmacDrbg;
-use ba_fmine::{Eligibility, Keychain, MineTag, MsgKind, NeverMine};
+use ba_fmine::{Eligibility, Keychain, MineTag, MsgKind};
 use ba_sim::{
-    evaluate, run_sparse, ActivationOracle, Adversary, Bit, BoxedProtocol, Incoming, Message,
-    NodeId, Outbox, PopulationMode, Problem, Protocol, Round, RunReport, SimConfig, SparseSpec,
-    TransportSpec, Verdict,
+    evaluate, ActivationOracle, Adversary, Bit, BoxedProtocol, Incoming, Message, NodeId, Outbox,
+    Problem, Protocol, Round, RunReport, SimConfig, Verdict,
 };
 
 use crate::auth::{Auth, Evidence};
@@ -47,6 +46,7 @@ use crate::cert::{
     AggregateQuorum, CertBody, CertEncoding, Certificate, CommitQuorum, CommitRef, VoteRef,
 };
 use crate::runnable::Runnable;
+use crate::sparse::{self, Committees, SparseFamily};
 
 /// Reference to a leader proposal, attached to votes as justification.
 #[derive(Clone, Debug, PartialEq)]
@@ -730,30 +730,13 @@ impl Protocol<IterMsg> for IterNode {
     }
 }
 
-/// Predicts each round's possible speakers for the sparse population engine
-/// by probing the eligibility backend's side-effect-free `would_mine` for
-/// every tag the round's schedule lets a node attest — plus the Terminate
-/// tags, which `finish` can fire in **any** round once a node decides.
-/// Committees are memoized per probed tag, so each tag costs one `O(n)`
-/// probe sweep over the whole run.
+/// Predicts each round's possible speakers for the sparse population policy
+/// by probing every tag the round's schedule lets a node attest — plus the
+/// Terminate tags, which `finish` can fire in **any** round once a node
+/// decides.
 struct IterOracle {
-    n: usize,
     max_iters: u64,
-    /// Mirrors [`Auth::Mined`]'s flag: shared committees probe the
-    /// bit-erased tag, exactly as `attest` mines it.
-    bit_specific: bool,
-    elig: Arc<dyn Eligibility>,
-    memo: HashMap<MineTag, Vec<NodeId>>,
-}
-
-impl IterOracle {
-    fn committee(&mut self, tag: MineTag) -> &[NodeId] {
-        let probe = if self.bit_specific { tag } else { tag.sharedized() };
-        let (n, elig) = (self.n, &self.elig);
-        self.memo
-            .entry(probe)
-            .or_insert_with(|| (0..n).map(NodeId).filter(|&i| elig.would_mine(i, &probe)).collect())
-    }
+    committees: Committees,
 }
 
 impl ActivationOracle for IterOracle {
@@ -783,67 +766,45 @@ impl ActivationOracle for IterOracle {
         }
         let mut out = Vec::new();
         for tag in tags {
-            out.extend_from_slice(self.committee(tag));
+            out.extend_from_slice(self.committees.committee(tag));
         }
         out
     }
 }
 
-/// Builds the sparse-engine spec for this configuration, or `None` when it
-/// cannot run sparsely (see [`IterConfig::supports_sparse`]) so callers fall
-/// back to the dense engine.
-fn sparse_spec(cfg: &IterConfig, inputs: &[Bit], sim: &SimConfig) -> Option<SparseSpec<IterMsg>> {
-    if !cfg.supports_sparse() {
-        return None;
+impl SparseFamily for IterConfig {
+    type Msg = IterMsg;
+    const GHOST_SALT: u64 = 0x6057_1A5E_1D0C_0DE0;
+
+    fn n(&self) -> usize {
+        self.n
     }
-    let Auth::Mined { elig, bit_specific, keychain } = &cfg.auth else {
-        return None;
-    };
-    // Ghosts can never win a committee seat (NeverMine) but verify exactly
-    // like real nodes, and carry the out-of-range id `n` so any accidental
-    // send is detectable. Their seed only feeds the leader-coin DRBG, which
-    // a non-candidate never exposes.
-    let mut ghost_cfg = cfg.clone();
-    ghost_cfg.auth = Auth::Mined {
-        elig: Arc::new(NeverMine(Arc::clone(elig))),
-        bit_specific: *bit_specific,
-        keychain: keychain.clone(),
-    };
-    let n = cfg.n;
-    let ghost_seed = sim.seed ^ 0x6057_1A5E_1D0C_0DE0;
-    let ghost = |bit: Bit| -> BoxedProtocol<IterMsg> {
-        Box::new(IterNode::new(ghost_cfg.clone(), NodeId(n), bit, ghost_seed ^ bit as u64))
-    };
-    let oracle = IterOracle {
-        n,
-        max_iters: cfg.max_iters,
-        bit_specific: *bit_specific,
-        elig: Arc::clone(elig),
-        memo: HashMap::new(),
-    };
-    let cfg_for_factory = cfg.clone();
-    let inputs_for_factory = inputs.to_vec();
-    Some(SparseSpec {
-        factory: Box::new(move |id, seed| {
-            Box::new(IterNode::new(
-                cfg_for_factory.clone(),
-                id,
-                inputs_for_factory[id.index()],
-                seed,
-            ))
-        }),
-        ghosts: [ghost(false), ghost(true)],
-        oracle: Box::new(oracle),
-    })
+
+    fn auth(&self) -> &Auth {
+        &self.auth
+    }
+
+    fn with_auth(&self, auth: Auth) -> IterConfig {
+        IterConfig { auth, ..self.clone() }
+    }
+
+    fn supports_sparse(&self) -> bool {
+        IterConfig::supports_sparse(self)
+    }
+
+    fn node(&self, id: NodeId, input: Bit, seed: u64) -> BoxedProtocol<IterMsg> {
+        Box::new(IterNode::new(self.clone(), id, input, seed))
+    }
+
+    fn oracle(&self, committees: Committees) -> Box<dyn ActivationOracle> {
+        Box::new(IterOracle { max_iters: self.max_iters, committees })
+    }
 }
 
 /// Runs one execution of an iteration-family protocol and evaluates the
-/// agreement verdict. Honors [`SimConfig::population`]: sparse-capable
-/// configurations run under the sparse engine (byte-identical report);
-/// others silently use the dense engine. The sparse engine composes only
-/// with the lockstep transport — under a latency/TCP transport the
-/// multicast history no longer describes every silent node's inbox, so
-/// those configurations fall back to dense. Delivery itself goes through
+/// agreement verdict. Honors [`SimConfig::population`] where the
+/// configuration supports the sparse policy (see
+/// [`IterConfig::supports_sparse`]); delivery of dense runs goes through
 /// [`ba_net::execute`], which realizes whatever [`SimConfig::transport`]
 /// names.
 pub fn run<A: Adversary<IterMsg> + Send>(
@@ -854,27 +815,7 @@ pub fn run<A: Adversary<IterMsg> + Send>(
 ) -> (RunReport, Verdict) {
     let mut sim_cfg = sim.clone();
     sim_cfg.max_rounds = sim_cfg.max_rounds.min(cfg.total_rounds() + 2);
-    let spec = match sim_cfg.population {
-        PopulationMode::Sparse if sim_cfg.transport == TransportSpec::Lockstep => {
-            sparse_spec(cfg, &inputs, &sim_cfg)
-        }
-        _ => None,
-    };
-    let report = match spec {
-        Some(spec) => run_sparse(&sim_cfg, inputs, adversary, spec),
-        None => {
-            let cfg_for_factory = cfg.clone();
-            let inputs_for_factory = inputs.clone();
-            ba_net::execute(&sim_cfg, inputs, adversary, move |id, seed| {
-                Box::new(IterNode::new(
-                    cfg_for_factory.clone(),
-                    id,
-                    inputs_for_factory[id.index()],
-                    seed,
-                ))
-            })
-        }
-    };
+    let report = sparse::execute(cfg, &sim_cfg, inputs, adversary);
     let verdict = evaluate(Problem::Agreement, &report);
     (report, verdict)
 }
@@ -894,7 +835,7 @@ pub fn runnable<A: Adversary<IterMsg> + Send + 'static>(
 mod tests {
     use super::*;
     use ba_fmine::{IdealMine, MineParams, SigMode};
-    use ba_sim::{CorruptionModel, Passive};
+    use ba_sim::{CorruptionModel, Passive, PopulationMode};
 
     fn quad_cfg(n: usize, seed: u64) -> IterConfig {
         IterConfig::quadratic_half(n, Arc::new(Keychain::from_seed(seed, n, SigMode::Ideal)), seed)

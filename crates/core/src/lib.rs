@@ -55,9 +55,9 @@ pub mod cks;
 pub mod dolev_strong;
 pub mod epoch;
 pub mod iter;
-pub mod ledger;
 pub mod momose_ren;
 pub mod runnable;
+mod sparse;
 
 pub use auth::{Auth, Evidence, FsService};
 pub use cert::{

@@ -11,7 +11,7 @@
 //! This is the uniform surface the `ba-bench` scenario layer dispatches
 //! over: a sweep harness builds one `Runnable` per (scenario, seed) cell and
 //! ships it to a `std::thread::scope` worker, where it drives
-//! [`ba_sim::Sim::run_boxed`] through the family's typed `run(...)` entry
+//! [`ba_sim::Sim::run_protocol`] through the family's typed `run(...)` entry
 //! point.
 
 use ba_sim::{RunReport, SimConfig, Verdict};

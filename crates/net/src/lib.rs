@@ -31,7 +31,7 @@ pub use tcp::TcpTransport;
 /// The in-core backends (lockstep, simulated latency) are instantiated by
 /// the engine itself; [`TransportSpec::Tcp`] is built here — this function
 /// is what lets protocol crates stay free of I/O while still offering every
-/// backend. Drop-in replacement for [`Sim::run_boxed`].
+/// backend. Drop-in replacement for [`Sim::run_protocol`].
 ///
 /// # Panics
 ///
@@ -58,7 +58,7 @@ where
             let transport = FaultyTransport::new(Box::new(tcp), plan, config.n, config.seed);
             Sim::run_with_transport(config, inputs, adversary, factory, Box::new(transport))
         }
-        _ => Sim::run_boxed(config, inputs, adversary, factory),
+        _ => Sim::run_protocol(config, inputs, adversary, factory),
     }
 }
 

@@ -2,7 +2,24 @@
 //!
 //! One [`Sim`] = one execution of a protocol `Π` with an environment-supplied
 //! input vector, an adversary `A`, and a corruption model — a sample of the
-//! paper's `EXEC_Π(A, Z, κ)`.
+//! paper's `EXEC_Π(A, Z, κ)`. [`Sim::run`] is the only round loop and
+//! `step_round` the only round body in this crate.
+//!
+//! # Population policies
+//!
+//! Which node instances exist is a policy inside the one `Sim`:
+//!
+//! * **dense** — all `n` nodes are built up front, their inboxes are
+//!   recycled buffers swapped every round, and delivery goes through the
+//!   [`Transport`] seam;
+//! * **sparse** ([`crate::population`]) — only live nodes exist; two ghosts
+//!   and a retained multicast history stand in for the silent majority.
+//!
+//! Setup, honest and corrupt stepping, the node-id-order merge, send
+//! metering, intervention and envelope validation are shared. The sparse
+//! policy adds four hooks: round-start activation, the live set as the
+//! nodes to step, ghost mirroring plus late materialization (after the merge
+//! and after `intervene`), and its own delivery and `peak_*` gauges.
 //!
 //! # In-execution parallelism
 //!
@@ -16,6 +33,8 @@
 //! **byte-identical at every thread count** — the knob only buys wall-clock
 //! on large-`n` executions with real cryptography.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,7 +42,7 @@ use crate::adversary::{AdvCtx, AdvWorld, Adversary, CorruptionModel};
 use crate::ids::{Bit, NodeId, Round};
 use crate::message::{Envelope, Incoming, Message, MsgId, Outbox, Recipient};
 use crate::metrics::Metrics;
-use crate::population::PopulationMode;
+use crate::population::{PopulationMode, Sparse};
 use crate::protocol::Protocol;
 use crate::transport::fault::FaultyTransport;
 use crate::transport::latency::LatencyTransport;
@@ -31,8 +50,8 @@ use crate::transport::lockstep::LockstepTransport;
 use crate::transport::{finalize_latency, BaseTransport, Transport, TransportSpec};
 
 /// The per-node deterministic seed handed to protocol factories — shared by
-/// the dense and sparse engines so a lazily materialized node draws exactly
-/// the randomness its dense twin drew.
+/// both population policies so a lazily materialized node draws exactly the
+/// randomness its dense twin drew.
 pub(crate) fn node_seed(run_seed: u64, node: usize) -> u64 {
     run_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(node as u64)
 }
@@ -77,12 +96,14 @@ pub struct SimConfig {
     /// reports. Worth raising for large `n` with real cryptography; the
     /// per-round fork/join overhead dominates on small executions.
     pub threads: usize,
-    /// Population engine requested for this execution. Like
+    /// Population policy requested for this execution. Like
     /// [`SimConfig::threads`] this is a resource knob, not a protocol
-    /// parameter: wherever a protocol family supports the sparse engine the
-    /// report is byte-identical to dense mode, and families that cannot run
-    /// sparsely (full-participation regimes, id-dependent leader oracles)
-    /// silently fall back to the dense engine.
+    /// parameter: both policies run through the same [`Sim`] round loop,
+    /// the sparse one adding activation, mirroring and its own delivery
+    /// (see [`crate::population`]). Wherever a protocol family supports
+    /// the sparse policy the report is byte-identical to dense mode, and
+    /// families that cannot run sparsely (full-participation regimes,
+    /// id-dependent leader oracles) silently fall back to dense.
     pub population: PopulationMode,
     /// Delivery backend for this execution (see [`crate::transport`]). The
     /// default lockstep backend reproduces the pre-seam engine
@@ -112,7 +133,7 @@ impl SimConfig {
         self
     }
 
-    /// Sets the population engine (builder style).
+    /// Sets the population policy (builder style).
     pub fn with_population(mut self, population: PopulationMode) -> SimConfig {
         self.population = population;
         self
@@ -151,8 +172,8 @@ impl RunReport {
     }
 }
 
-/// A type-erased protocol instance that can cross thread boundaries (the
-/// [`Sim::run_boxed`] path used by parallel sweep harnesses).
+/// A type-erased protocol instance that can cross thread boundaries (sweep
+/// harnesses build whole executions on worker threads).
 pub type BoxedProtocol<M> = Box<dyn Protocol<M> + Send>;
 
 /// A single synchronous execution.
@@ -195,40 +216,124 @@ pub type BoxedProtocol<M> = Box<dyn Protocol<M> + Send>;
 /// assert!(report.outputs.iter().all(|o| *o == Some(true)));
 /// ```
 pub struct Sim<M, A> {
-    nodes: Vec<BoxedProtocol<M>>,
+    population: Population<M>,
     world: AdvWorld<M>,
     adversary: A,
-    /// Inboxes being filled for the next round.
-    inboxes: Vec<Vec<Incoming<M>>>,
-    /// Recycled buffers holding the round currently being consumed; swapped
-    /// with `inboxes` each round so no per-round allocation happens at
-    /// steady state.
-    current: Vec<Vec<Incoming<M>>>,
     metrics: Metrics,
     output_rounds: Vec<Option<Round>>,
     max_rounds: u64,
     /// In-execution worker count (see [`SimConfig::threads`]).
     threads: usize,
     rng: StdRng,
-    /// Delivery backend (see [`crate::transport`]). The engine validates
-    /// envelopes (removal flags, unicast ranges) and meters them; the
-    /// transport alone decides arrival rounds.
-    transport: Box<dyn Transport<M>>,
 }
 
-/// What one node's step produced, captured per node so honest steps can run
-/// on worker threads and still merge into the world in node-id order.
-/// Shared with the sparse engine (`population.rs`), whose merge phase must
-/// stay byte-for-byte equivalent to the dense one.
-pub(crate) struct NodeStep<M> {
+/// The node set of an execution (see the module docs).
+pub(crate) enum Population<M> {
+    /// Every node materialized up front.
+    Dense {
+        nodes: Vec<BoxedProtocol<M>>,
+        /// Inboxes being filled for the next round.
+        inboxes: Vec<Vec<Incoming<M>>>,
+        /// Recycled buffers holding the round currently being consumed;
+        /// swapped with `inboxes` each round so no per-round allocation
+        /// happens at steady state.
+        current: Vec<Vec<Incoming<M>>>,
+        /// Delivery backend (see [`crate::transport`]). The engine
+        /// validates envelopes (removal flags, unicast ranges) and meters
+        /// them; the transport alone decides arrival rounds.
+        transport: Box<dyn Transport<M>>,
+    },
+    /// Live nodes only; ghosts mirror the silent majority.
+    Sparse(Sparse<M>),
+}
+
+/// One node's place in a round: its id, its state and inbox (borrowed from
+/// the population), and what its step produced. Honest steps fill their own
+/// seat on worker threads; the merge then reads the seats in node-id order.
+struct Seat<'a, M> {
+    id: usize,
+    node: &'a mut BoxedProtocol<M>,
+    inbox: &'a mut Vec<Incoming<M>>,
+    step: Option<NodeStep<M>>,
+}
+
+/// What one node's step produced.
+struct NodeStep<M> {
     /// The node's (possibly adversary-rewritten) sends, in outbox order.
-    pub(crate) sends: Vec<(Recipient, M)>,
+    sends: Vec<(Recipient, M)>,
     /// Whether the node was so-far-honest when it stepped.
-    pub(crate) honest: bool,
+    honest: bool,
     /// `output()` after the step (honest nodes only).
-    pub(crate) output: Option<Bit>,
+    output: Option<Bit>,
     /// `halted()` after the step (honest nodes only).
-    pub(crate) halted: bool,
+    halted: bool,
+}
+
+/// Records an honest node's `output()`/`halted()` after its step in `round`
+/// as reported to the environment: the first output sticks, with its round.
+pub(crate) fn record_honest<M>(
+    world: &mut AdvWorld<M>,
+    output_rounds: &mut [Option<Round>],
+    i: usize,
+    output: Option<Bit>,
+    halted: bool,
+    round: Round,
+) {
+    if let Some(bit) = output {
+        if world.outputs[i].is_none() {
+            world.outputs[i] = Some(bit);
+            output_rounds[i] = Some(round);
+        }
+    }
+    world.halted[i] = halted;
+}
+
+impl<M: Message + Send + Sync + 'static> Population<M> {
+    /// Round start: dense swaps the filled inboxes into the recycled
+    /// buffers (cleared, capacity retained, last round); sparse activates
+    /// the oracle's candidates.
+    fn begin_round(&mut self, round: Round, n: usize) {
+        match self {
+            Population::Dense { inboxes, current, .. } => std::mem::swap(inboxes, current),
+            Population::Sparse(sparse) => sparse.activate(round, n),
+        }
+    }
+
+    /// The nodes to step this round, in node-id order.
+    fn seats(&mut self) -> Vec<Seat<'_, M>> {
+        let seat = |(id, node, inbox)| Seat { id, node, inbox, step: None };
+        match self {
+            Population::Dense { nodes, current, .. } => nodes
+                .iter_mut()
+                .zip(current.iter_mut())
+                .enumerate()
+                .map(|(id, (node, inbox))| seat((id, node, inbox)))
+                .collect(),
+            Population::Sparse(sparse) => sparse.live_nodes().map(seat).collect(),
+        }
+    }
+
+    /// Hands the round's validated envelopes to the recipients and returns
+    /// the messages now resident (queued for next round or in flight).
+    fn deliver(&mut self, round: Round, envelopes: Vec<Envelope<M>>) -> u64 {
+        match self {
+            Population::Dense { inboxes, transport, .. } => {
+                transport.submit(round, envelopes);
+                transport.deliver(round.next(), inboxes);
+                inboxes.iter().map(|b| b.len() as u64).sum::<u64>() + transport.in_flight() as u64
+            }
+            Population::Sparse(sparse) => sparse.deliver(round, envelopes),
+        }
+    }
+
+    /// Materialized protocol instances (ghosts excluded). Never shrinks
+    /// during a run, so its final value is the high-water mark.
+    fn live(&self) -> usize {
+        match self {
+            Population::Dense { nodes, .. } => nodes.len(),
+            Population::Sparse(sparse) => sparse.live(),
+        }
+    }
 }
 
 impl<M: Message + Send + Sync + 'static, A: Adversary<M>> Sim<M, A> {
@@ -271,10 +376,24 @@ impl<M: Message + Send + Sync + 'static, A: Adversary<M>> Sim<M, A> {
         mut factory: impl FnMut(NodeId, u64) -> BoxedProtocol<M>,
         transport: Box<dyn Transport<M>>,
     ) -> Sim<M, A> {
+        let n = config.n;
+        Sim::with_population(config, inputs, adversary, || Population::Dense {
+            nodes: (0..n).map(|i| factory(NodeId(i), node_seed(config.seed, i))).collect(),
+            inboxes: vec![Vec::new(); n],
+            current: vec![Vec::new(); n],
+            transport,
+        })
+    }
+
+    /// Builds an execution over the node set `population()` returns.
+    pub(crate) fn with_population(
+        config: &SimConfig,
+        inputs: Vec<Bit>,
+        adversary: A,
+        population: impl FnOnce() -> Population<M>,
+    ) -> Sim<M, A> {
         assert_eq!(inputs.len(), config.n, "one input per node");
         assert!(config.f < config.n, "corruption budget must leave one honest node");
-        let nodes: Vec<BoxedProtocol<M>> =
-            (0..config.n).map(|i| factory(NodeId(i), node_seed(config.seed, i))).collect();
         let world = AdvWorld {
             model: config.model,
             f: config.f,
@@ -290,21 +409,22 @@ impl<M: Message + Send + Sync + 'static, A: Adversary<M>> Sim<M, A> {
             removals: 0,
         };
         Sim {
-            nodes,
+            population: population(),
             world,
             adversary,
-            inboxes: vec![Vec::new(); config.n],
-            current: vec![Vec::new(); config.n],
             metrics: Metrics::default(),
             output_rounds: vec![None; config.n],
             max_rounds: config.max_rounds,
             threads: config.threads.max(1),
             rng: StdRng::seed_from_u64(config.seed ^ 0xAD5E_55A1_D0BE_EF00),
-            transport,
         }
     }
 
-    /// Convenience: build and run to completion in one call.
+    /// Convenience: build and run to completion in one call. With a `Send`
+    /// factory and adversary the whole call can be captured in a
+    /// `FnOnce + Send` closure and dispatched onto a worker thread — how
+    /// sweep harnesses fan executions out (*across*-run parallelism;
+    /// [`SimConfig::threads`] controls the *within*-run worker count).
     pub fn run_protocol(
         config: &SimConfig,
         inputs: Vec<Bit>,
@@ -312,25 +432,6 @@ impl<M: Message + Send + Sync + 'static, A: Adversary<M>> Sim<M, A> {
         factory: impl FnMut(NodeId, u64) -> BoxedProtocol<M>,
     ) -> RunReport {
         Sim::new(config, inputs, adversary, factory).run()
-    }
-
-    /// Like [`Sim::run_protocol`], with an additional `Send` bound on the
-    /// factory so the whole call — configuration, adversary, and every node
-    /// it will construct — can be captured in a `FnOnce + Send` closure and
-    /// dispatched onto a worker thread. This is the entry point sweep
-    /// harnesses use to fan executions out across `std::thread::scope`
-    /// workers (*across*-run parallelism; [`SimConfig::threads`] controls
-    /// the *within*-run worker count).
-    pub fn run_boxed(
-        config: &SimConfig,
-        inputs: Vec<Bit>,
-        adversary: A,
-        factory: impl FnMut(NodeId, u64) -> BoxedProtocol<M> + Send,
-    ) -> RunReport
-    where
-        A: Send,
-    {
-        Sim::run_protocol(config, inputs, adversary, factory)
     }
 
     /// Builds with an injected delivery backend and runs to completion (see
@@ -348,8 +449,6 @@ impl<M: Message + Send + Sync + 'static, A: Adversary<M>> Sim<M, A> {
     /// Runs the execution to completion (all honest nodes halted, or the
     /// round cap reached) and returns the report.
     pub fn run(mut self) -> RunReport {
-        // The dense engine materializes every node up front.
-        self.metrics.peak_live_nodes = self.n() as u64;
         // Setup phase: static adversaries corrupt here.
         self.world.in_setup = true;
         {
@@ -357,6 +456,11 @@ impl<M: Message + Send + Sync + 'static, A: Adversary<M>> Sim<M, A> {
             self.adversary.setup(&mut ctx);
         }
         self.world.in_setup = false;
+        // Setup-corrupted sparse nodes are live from the start (no rounds
+        // to replay yet).
+        if let Population::Sparse(sparse) = &mut self.population {
+            sparse.materialize_corrupt(&self.world.corrupt_at, 0);
+        }
 
         let mut rounds_used = 0;
         for r in 0..self.max_rounds {
@@ -377,21 +481,23 @@ impl<M: Message + Send + Sync + 'static, A: Adversary<M>> Sim<M, A> {
         self.metrics.corruptions =
             self.world.corrupt_at.iter().filter(|c| c.is_some()).count() as u64;
         self.metrics.removals = self.world.removals as u64;
-        self.metrics.latency = self
-            .transport
-            .finish(rounds_used)
-            .map(|stats| finalize_latency(stats, &self.output_rounds, &self.world.corrupt_at));
-        // Read after finish(): still-held copies have been folded into the
-        // fault wrapper's undelivered count by then.
-        self.metrics.faults = self.transport.fault_stats();
+        self.metrics.peak_live_nodes = self.population.live() as u64;
+        if let Population::Dense { transport, .. } = &mut self.population {
+            self.metrics.latency = transport
+                .finish(rounds_used)
+                .map(|stats| finalize_latency(stats, &self.output_rounds, &self.world.corrupt_at));
+            // Read after finish(): still-held copies have been folded into
+            // the fault wrapper's undelivered count by then.
+            self.metrics.faults = transport.fault_stats();
+        }
         RunReport {
-            outputs: self.world.outputs.clone(),
-            output_rounds: self.output_rounds.clone(),
-            corrupt_at: self.world.corrupt_at.clone(),
-            halted: self.world.halted.clone(),
-            metrics: self.metrics.clone(),
+            outputs: self.world.outputs,
+            output_rounds: self.output_rounds,
+            corrupt_at: self.world.corrupt_at,
+            halted: self.world.halted,
+            metrics: self.metrics,
             rounds_used,
-            inputs: self.world.inputs.clone(),
+            inputs: self.world.inputs,
         }
     }
 
@@ -401,65 +507,45 @@ impl<M: Message + Send + Sync + 'static, A: Adversary<M>> Sim<M, A> {
 
     fn step_round(&mut self, round: Round) {
         let n = self.n();
-        // 1. Swap this round's filled inboxes into the recycled buffers
-        // (the buffers were cleared — capacity retained — last round).
-        std::mem::swap(&mut self.inboxes, &mut self.current);
+        // 1. Round start (dense inbox swap, sparse activation).
+        self.population.begin_round(round, n);
+        let mut seats = self.population.seats();
 
         // 2a. Step every so-far-honest node, on worker threads when
         // configured. Corruption only happens in `setup`/`intervene`, so the
         // corrupt set is frozen for the whole phase, honest steps touch
         // nothing but their own node state and inbox, and each result lands
-        // in its node's slot — the later merge is order-independent.
-        let mut results: Vec<Option<NodeStep<M>>> = (0..n).map(|_| None).collect();
+        // in its node's seat — the later merge is order-independent.
         {
             let corrupt_at = &self.world.corrupt_at;
             let halted = &self.world.halted;
-            let step_honest = |node: &mut BoxedProtocol<M>,
-                               inbox: &mut Vec<Incoming<M>>,
-                               i: usize|
-             -> Option<NodeStep<M>> {
-                if corrupt_at[i].is_some() {
-                    return None; // stepped serially in phase 2b
+            let step_honest = |seat: &mut Seat<'_, M>| {
+                if corrupt_at[seat.id].is_some() {
+                    return; // stepped serially in phase 2b
                 }
-                if halted[i] {
-                    inbox.clear();
-                    return None; // halted honest nodes stay silent
+                if halted[seat.id] {
+                    seat.inbox.clear();
+                    return; // halted honest nodes stay silent
                 }
                 let mut outbox = Outbox::new();
-                node.step(round, inbox, &mut outbox);
-                inbox.clear();
-                Some(NodeStep {
+                seat.node.step(round, seat.inbox, &mut outbox);
+                seat.inbox.clear();
+                seat.step = Some(NodeStep {
                     sends: outbox.take(),
                     honest: true,
-                    output: node.output(),
-                    halted: node.halted(),
-                })
+                    output: seat.node.output(),
+                    halted: seat.node.halted(),
+                });
             };
-            let workers = self.threads.min(n).max(1);
+            let workers = self.threads.min(seats.len()).max(1);
             if workers <= 1 {
-                for (i, (node, inbox)) in
-                    self.nodes.iter_mut().zip(self.current.iter_mut()).enumerate()
-                {
-                    results[i] = step_honest(node, inbox, i);
-                }
+                seats.iter_mut().for_each(step_honest);
             } else {
-                let chunk = n.div_ceil(workers);
+                let chunk = seats.len().div_ceil(workers);
                 std::thread::scope(|scope| {
-                    for (ci, ((nodes, inboxes), slots)) in self
-                        .nodes
-                        .chunks_mut(chunk)
-                        .zip(self.current.chunks_mut(chunk))
-                        .zip(results.chunks_mut(chunk))
-                        .enumerate()
-                    {
+                    for part in seats.chunks_mut(chunk) {
                         let step_honest = &step_honest;
-                        scope.spawn(move || {
-                            for (k, ((node, inbox), slot)) in
-                                nodes.iter_mut().zip(inboxes.iter_mut()).zip(slots).enumerate()
-                            {
-                                *slot = step_honest(node, inbox, ci * chunk + k);
-                            }
-                        });
+                        scope.spawn(move || part.iter_mut().for_each(step_honest));
                     }
                 });
             }
@@ -469,51 +555,48 @@ impl<M: Message + Send + Sync + 'static, A: Adversary<M>> Sim<M, A> {
         // is one mutable strategy object, and keeping its inbox-filter /
         // outbox-rewrite call sequence identical to the serial engine is
         // part of the byte-identity contract.
-        for (i, slot) in results.iter_mut().enumerate() {
-            if self.world.corrupt_at[i].is_none() {
-                continue;
-            }
-            let inbox = std::mem::take(&mut self.current[i]);
-            let mut filtered = self.adversary.filter_corrupt_inbox(NodeId(i), inbox, round);
+        for seat in seats.iter_mut().filter(|s| self.world.corrupt_at[s.id].is_some()) {
+            let node = NodeId(seat.id);
+            let inbox = std::mem::take(seat.inbox);
+            let mut filtered = self.adversary.filter_corrupt_inbox(node, inbox, round);
             let mut outbox = Outbox::new();
-            self.nodes[i].step(round, &filtered, &mut outbox);
+            seat.node.step(round, &filtered, &mut outbox);
             // Recycle whichever buffer the adversary handed back so corrupt
             // nodes keep their inbox capacity too.
             filtered.clear();
-            self.current[i] = filtered;
-            let sends = self.adversary.corrupt_outbox(NodeId(i), outbox.take(), round);
-            *slot = Some(NodeStep { sends, honest: false, output: None, halted: false });
+            *seat.inbox = filtered;
+            let sends = self.adversary.corrupt_outbox(node, outbox.take(), round);
+            seat.step = Some(NodeStep { sends, honest: false, output: None, halted: false });
         }
 
         // 2c. Merge in node-id order: message ids, envelopes, and
         // output/halt bookkeeping come out exactly as the serial
-        // interleaving produced them.
+        // interleaving produced them. Sparse silent nodes have no sends by
+        // definition, so skipping them leaves the message-id sequence as the
+        // dense policy assigns it.
         let mut pending: Vec<Envelope<M>> = Vec::new();
-        for (i, slot) in results.into_iter().enumerate() {
-            let Some(step) = slot else { continue };
+        for seat in seats {
+            let Some(step) = seat.step else { continue };
             for (to, msg) in step.sends {
                 let id = MsgId(self.world.next_msg_id);
                 self.world.next_msg_id += 1;
                 pending.push(Envelope {
                     id,
-                    from: NodeId(i),
+                    from: NodeId(seat.id),
                     to,
                     round,
                     honest_send: step.honest,
                     removed: false,
-                    msg: std::sync::Arc::new(msg),
+                    msg: Arc::new(msg),
                 });
             }
-            // Record outputs/halts as reported to the environment.
             if step.honest {
-                if let Some(bit) = step.output {
-                    if self.world.outputs[i].is_none() {
-                        self.world.outputs[i] = Some(bit);
-                        self.output_rounds[i] = Some(round);
-                    }
-                }
-                self.world.halted[i] = step.halted;
+                let (world, rounds) = (&mut self.world, &mut self.output_rounds);
+                record_honest(world, rounds, seat.id, step.output, step.halted, round);
             }
+        }
+        if let Population::Sparse(sparse) = &mut self.population {
+            sparse.mirror(round, &mut self.world, &mut self.output_rounds);
         }
 
         // 3. Meter sends (Definition 7 counts messages *sent* by honest
@@ -552,13 +635,18 @@ impl<M: Message + Send + Sync + 'static, A: Adversary<M>> Sim<M, A> {
         }
         let mut deliverable = std::mem::take(&mut self.world.pending);
         deliverable.extend(injected);
+        // A sparse node corrupted this round while silent stepped honestly
+        // through round `r` in its dense twin, so its replay includes `r`.
+        if let Population::Sparse(sparse) = &mut self.population {
+            sparse.materialize_corrupt(&self.world.corrupt_at, round.0 + 1);
+        }
 
-        // 5. Validate what survived and hand it to the transport, which
-        // alone decides each copy's arrival round; then drain everything
-        // arriving by the start of the next round into the inboxes. (Under
-        // lockstep that is the entire submission, reproducing the pre-seam
-        // engine byte-for-byte; a multicast still shares one `Arc` across
-        // all n recipients — no payload deep-clone in the fan-out.)
+        // 5. Validate what survived and deliver it. Dense hands it to the
+        // transport, which alone decides each copy's arrival round, then
+        // drains everything arriving by the start of the next round into the
+        // inboxes (under lockstep that is the entire submission; a multicast
+        // still shares one `Arc` across all n recipients — no payload
+        // deep-clone in the fan-out). Sparse fans out to the live set.
         let mut dropped = 0u64;
         deliverable.retain(|env| {
             if env.removed {
@@ -583,13 +671,7 @@ impl<M: Message + Send + Sync + 'static, A: Adversary<M>> Sim<M, A> {
             true
         });
         self.metrics.dropped_sends += dropped;
-        self.transport.submit(round, deliverable);
-        self.transport.deliver(round.next(), &mut self.inboxes);
-
-        // Resident-message gauge: everything queued for next round plus
-        // whatever the transport still holds in flight.
-        let resident: u64 = self.inboxes.iter().map(|b| b.len() as u64).sum::<u64>()
-            + self.transport.in_flight() as u64;
+        let resident = self.population.deliver(round, deliverable);
         self.metrics.peak_resident_msgs = self.metrics.peak_resident_msgs.max(resident);
     }
 }
@@ -598,6 +680,7 @@ impl<M: Message + Send + Sync + 'static, A: Adversary<M>> Sim<M, A> {
 mod tests {
     use super::*;
     use crate::adversary::Passive;
+    use crate::population::{run_sparse, ActivationOracle, SparseSpec};
 
     #[derive(Clone, Debug, PartialEq)]
     struct Ping(u64);
@@ -640,8 +723,60 @@ mod tests {
         }
     }
 
+    fn count_votes(_: NodeId, _: u64) -> BoxedProtocol<Ping> {
+        Box::new(CountVotes { input: true, seen: 0, done: false })
+    }
+
     fn config(n: usize, f: usize, model: CorruptionModel) -> SimConfig {
         SimConfig::new(n, f, model, 42)
+    }
+
+    /// Never sends, never halts: the ghosts of [`run_both`]'s sparse runs,
+    /// which stand in for nobody (every node is live from round 0).
+    struct Mute;
+
+    impl Protocol<Ping> for Mute {
+        fn step(&mut self, _round: Round, _inbox: &[Incoming<Ping>], _out: &mut Outbox<Ping>) {}
+
+        fn output(&self) -> Option<Bit> {
+            None
+        }
+
+        fn halted(&self) -> bool {
+            false
+        }
+    }
+
+    /// Names every node in round 0, which covers every round-0 speaker of
+    /// this module's protocols.
+    struct EveryoneAtRoundZero(usize);
+
+    impl ActivationOracle for EveryoneAtRoundZero {
+        fn candidates(&mut self, round: Round) -> Vec<NodeId> {
+            match round {
+                Round::ZERO => (0..self.0).map(NodeId).collect(),
+                _ => Vec::new(),
+            }
+        }
+    }
+
+    /// Runs one execution under both population policies, asserts the
+    /// reports are equal, and returns the dense one.
+    fn run_both<A: Adversary<Ping>>(
+        cfg: &SimConfig,
+        inputs: Vec<Bit>,
+        adversary: impl Fn() -> A,
+        factory: fn(NodeId, u64) -> BoxedProtocol<Ping>,
+    ) -> RunReport {
+        let dense = Sim::run_protocol(cfg, inputs.clone(), adversary(), factory);
+        let spec = SparseSpec {
+            factory: Box::new(factory),
+            ghosts: [Box::new(Mute), Box::new(Mute)],
+            oracle: Box::new(EveryoneAtRoundZero(cfg.n)),
+        };
+        let sparse = run_sparse(cfg, inputs, adversary(), spec);
+        assert_eq!(sparse, dense, "the sparse policy changed the execution");
+        dense
     }
 
     #[test]
@@ -679,9 +814,7 @@ mod tests {
     #[test]
     fn corrupt_node_sends_do_not_count_as_honest() {
         let cfg = config(5, 1, CorruptionModel::Static);
-        let report = Sim::run_protocol(&cfg, vec![true; 5], SilenceNodeZero, |_, _| {
-            Box::new(CountVotes { input: true, seen: 0, done: false })
-        });
+        let report = run_both(&cfg, vec![true; 5], || SilenceNodeZero, count_votes);
         assert_eq!(report.metrics.honest_multicasts, 4);
         // Honest nodes saw only 4 messages.
         assert!(report.forever_honest().all(|i| report.outputs[i.index()] == Some(true)));
@@ -713,9 +846,7 @@ mod tests {
     #[test]
     fn strongly_adaptive_removal_starves_receivers() {
         let cfg = config(5, 4, CorruptionModel::StronglyAdaptive);
-        let report = Sim::run_protocol(&cfg, vec![true; 5], EraseEverything, |_, _| {
-            Box::new(CountVotes { input: true, seen: 0, done: false })
-        });
+        let report = run_both(&cfg, vec![true; 5], || EraseEverything, count_votes);
         // Only node 4 stays honest (f = 4 < 5 senders; the adversary erases
         // the first four senders' messages but runs out of budget for the
         // fifth... node ordering means nodes 0..3 get corrupted).
@@ -744,9 +875,12 @@ mod tests {
             }
         }
         let cfg = config(3, 2, CorruptionModel::Adaptive);
-        let report = Sim::run_protocol(&cfg, vec![false; 3], TryRemove, |_, _| {
-            Box::new(CountVotes { input: false, seen: 0, done: false })
-        });
+        let report = run_both(
+            &cfg,
+            vec![false; 3],
+            || TryRemove,
+            |_, _| Box::new(CountVotes { input: false, seen: 0, done: false }),
+        );
         assert_eq!(report.metrics.removals, 0);
         // The corrupted node's round-0 message still went out (it was sent
         // while honest and cannot be erased).
@@ -786,9 +920,12 @@ mod tests {
             }
         }
         let cfg = config(3, 1, CorruptionModel::Static);
-        let report = Sim::run_protocol(&cfg, vec![true; 3], InjectExtra, |_, _| {
-            Box::new(Recorder { seen: Vec::new(), done: false })
-        });
+        let report = run_both(
+            &cfg,
+            vec![true; 3],
+            || InjectExtra,
+            |_, _| Box::new(Recorder { seen: Vec::new(), done: false }),
+        );
         // Recorders never send, so the only traffic is the injected unicast.
         assert_eq!(report.metrics.corrupt_sends, 1);
         assert_eq!(report.metrics.injected_sends, 1);
@@ -812,9 +949,7 @@ mod tests {
             }
         }
         let cfg = config(3, 1, CorruptionModel::Static);
-        let report = Sim::run_protocol(&cfg, vec![true; 3], InjectBeyondN, |_, _| {
-            Box::new(CountVotes { input: true, seen: 0, done: false })
-        });
+        let report = run_both(&cfg, vec![true; 3], || InjectBeyondN, count_votes);
         // Node 0's own round-0 multicast plus the two injections are
         // corrupt sends, but only the in-range injection was deliverable;
         // the out-of-range one is accounted as dropped.
@@ -827,7 +962,7 @@ mod tests {
     fn run_boxed_executes_on_worker_thread() {
         let cfg = config(5, 0, CorruptionModel::Static);
         let handle = std::thread::spawn(move || {
-            Sim::run_boxed(&cfg, vec![true; 5], Passive, |_, _| {
+            Sim::run_protocol(&cfg, vec![true; 5], Passive, |_, _| {
                 Box::new(CountVotes { input: true, seen: 0, done: false })
             })
         });
@@ -852,7 +987,7 @@ mod tests {
         }
         let mut cfg = config(3, 0, CorruptionModel::Static);
         cfg.max_rounds = 5;
-        let report = Sim::run_protocol(&cfg, vec![true; 3], Passive, |_, _| Box::new(Forever));
+        let report = run_both(&cfg, vec![true; 3], || Passive, |_, _| Box::new(Forever));
         assert_eq!(report.rounds_used, 5);
         assert!(report.halted.iter().all(|h| !h));
         assert!(report.outputs.iter().all(|o| o.is_none()));
@@ -869,7 +1004,8 @@ mod tests {
 
     /// In-execution parallelism must be observationally free: the whole
     /// report (outputs, rounds, per-message metrics, corruption schedule)
-    /// is byte-identical at every worker count, including counts above `n`.
+    /// is byte-identical at every worker count, including counts above `n`,
+    /// under both population policies.
     #[test]
     fn within_run_thread_count_never_changes_report() {
         for f in [0usize, 4] {
@@ -877,9 +1013,7 @@ mod tests {
             cfg.max_rounds = 6;
             let run = |threads: usize| {
                 let cfg = cfg.clone().with_threads(threads);
-                Sim::run_protocol(&cfg, vec![true; 9], EraseEverything, |_, _| {
-                    Box::new(CountVotes { input: true, seen: 0, done: false })
-                })
+                run_both(&cfg, vec![true; 9], || EraseEverything, count_votes)
             };
             let serial = run(1);
             for threads in [2usize, 3, 8, 64] {
@@ -905,9 +1039,7 @@ mod tests {
         }
         let run = |threads: usize| {
             let cfg = config(5, 1, CorruptionModel::Static).with_threads(threads);
-            Sim::run_protocol(&cfg, vec![true; 5], InjectEveryRound, |_, _| {
-                Box::new(CountVotes { input: true, seen: 0, done: false })
-            })
+            run_both(&cfg, vec![true; 5], || InjectEveryRound, count_votes)
         };
         let serial = run(1);
         assert_eq!(run(4), serial);
